@@ -29,7 +29,7 @@ use super::space::{Candidate, CandidateSpace};
 use drq_core::dse::{retry_with_backoff, RetryPolicy};
 use drq_core::DrqError;
 use drq_telemetry::{counter_add, Json, Report};
-use drq_tensor::parallel;
+use drq_tensor::{parallel, splitmix64};
 
 /// The artifact `kind` every checkpoint carries.
 pub const PARETO_KIND: &str = "pareto";
@@ -542,14 +542,6 @@ pub struct ResumedSearch {
     /// `Some(why)` when the primary was rejected and the state was
     /// salvaged from `<path>.prev`.
     pub salvaged: Option<String>,
-}
-
-/// SplitMix64 finalizer — the same mixing the partition seed streams use.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -227,9 +227,13 @@ impl CandidateSpace {
         }
     }
 
-    /// A stable FNV-1a fingerprint of the canonical JSON encoding, stored
-    /// in checkpoints so a resume against a different space is rejected
+    /// A stable fingerprint of the canonical JSON encoding, stored in
+    /// checkpoints so a resume against a different space is rejected
     /// instead of silently mixing index meanings.
+    ///
+    /// FNV-1a-shaped, but its multiplier is `0x1_0000_01b3`, not the FNV
+    /// prime `0x100_0000_01b3` of [`drq_tensor::fnv1a`]; it stays because
+    /// every committed checkpoint carries it.
     pub fn fingerprint(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in self.to_json().to_string().bytes() {

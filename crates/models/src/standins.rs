@@ -285,6 +285,22 @@ mod tests {
     }
 
     #[test]
+    fn saved_weights_restore_batchnorm_running_statistics() {
+        // ResNet-8 carries BatchNorm on its stem, main paths and shortcuts.
+        let train_set = Dataset::generate(DatasetKind::Shapes, 64, 71);
+        let eval_set = Dataset::generate(DatasetKind::Shapes, 16, 72);
+        let mut net = resnet8(10, 7);
+        let cfg = TrainConfig { epochs: 1, ..TrainConfig::default() };
+        train(&mut net, &train_set, &eval_set, &cfg);
+        let mut bytes = Vec::new();
+        drq_nn::save_weights(&mut net, &mut bytes).unwrap();
+        let mut fresh = resnet8(10, 8);
+        drq_nn::load_weights(&mut fresh, bytes.as_slice()).unwrap();
+        let (x, _) = eval_set.batch(0, 16);
+        assert_eq!(net.forward(&x, false).as_slice(), fresh.forward(&x, false).as_slice());
+    }
+
+    #[test]
     fn tiny_convnet_shapes_are_consistent() {
         let mut net = tiny_convnet(10, 1);
         let x = drq_tensor::Tensor::zeros(&[2, 3, 32, 32]);

@@ -219,6 +219,13 @@ impl BatchNorm2d {
         f(&mut self.gamma, &mut self.grad_gamma);
         f(&mut self.beta, &mut self.grad_beta);
     }
+
+    /// Visits the non-trainable state in a stable order (running mean then
+    /// running variance).
+    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor<f32>)) {
+        f(&mut self.running_mean);
+        f(&mut self.running_var);
+    }
 }
 
 #[cfg(test)]

@@ -130,6 +130,16 @@ impl Layer {
             Layer::ReLU(_) | Layer::Pool(_) | Layer::Flatten(_) => {}
         }
     }
+
+    /// Visits every non-trainable state tensor (BatchNorm running
+    /// statistics) in a stable, deterministic order.
+    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor<f32>)) {
+        match self {
+            Layer::BatchNorm(l) => l.visit_buffers(f),
+            Layer::Residual(l) => l.visit_buffers(f),
+            _ => {}
+        }
+    }
 }
 
 impl From<Conv2d> for Layer {

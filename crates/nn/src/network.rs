@@ -248,6 +248,14 @@ impl Network {
         }
     }
 
+    /// Visits every non-trainable state tensor (BatchNorm running
+    /// statistics) in stable order.
+    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor<f32>)) {
+        for l in &mut self.layers {
+            l.visit_buffers(f);
+        }
+    }
+
     /// Layer kinds in order (for reports and debugging).
     pub fn layer_kinds(&self) -> Vec<LayerKind> {
         self.layers.iter().map(Layer::kind).collect()

@@ -107,6 +107,13 @@ impl ResidualBlock {
             l.visit_params(f);
         }
     }
+
+    /// Visits non-trainable state on the main path then the shortcut path.
+    pub fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Tensor<f32>)) {
+        for l in self.main.iter_mut().chain(self.shortcut.iter_mut()) {
+            l.visit_buffers(f);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,35 +1,40 @@
 //! Saving and loading network weights.
 //!
 //! A deliberately simple, dependency-free binary format: the architecture
-//! is *not* serialized (it is code), only the parameter tensors, written in
-//! the stable `visit_params` order. Loading into a freshly constructed
-//! network of the same architecture restores the trained model — which is
-//! how the examples avoid retraining stand-ins on every run.
+//! is *not* serialized (it is code), only the state tensors — the
+//! parameters in the stable `visit_params` order, then the BatchNorm running
+//! statistics in `visit_buffers` order. Loading into a freshly constructed
+//! network of the same architecture restores the trained model, eval-mode
+//! outputs included — which is how the examples avoid retraining stand-ins
+//! on every run.
 //!
 //! Format (little-endian):
 //!
 //! ```text
 //! magic  u32 = 0x4452_5157  ("DRQW")
-//! version u32 = 2
-//! param_count u32
-//! per parameter:
+//! version u32 = 3
+//! tensor_count u32
+//! per tensor (parameters, then running statistics):
 //!   rank u32, dims [u32; rank], data [f32; product(dims)]
 //! crc32 u32   (IEEE, over every preceding byte; absent in version 1)
 //! ```
 //!
-//! Version 1 files (no checksum footer) remain loadable; [`load_weights`]
-//! prints a "no checksum" warning to stderr for them, and
+//! Versions 1 and 2 hold the parameters only; loading one leaves the
+//! target's running statistics as they were. Version 1 files (no checksum
+//! footer) remain loadable; [`load_weights`] prints a "no checksum" warning
+//! to stderr for them, and
 //! [`load_weights_verified`] reports whether the stream was actually
 //! verified. Truncated or bit-flipped streams surface as the typed
 //! [`NnError::CorruptCheckpoint`] instead of panicking or silently loading
 //! garbage.
 
 use crate::{Network, NnError};
-use drq_store::{ArtifactStore, Storage, StoreError};
+use drq_store::{ArtifactStore, Crc32, Storage, StoreError};
+use drq_tensor::Tensor;
 use std::io::{self, Read, Write};
 
 const MAGIC: u32 = 0x4452_5157;
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 const LEGACY_VERSION: u32 = 1;
 
 /// Error loading weights.
@@ -37,35 +42,6 @@ const LEGACY_VERSION: u32 = 1;
 /// Historical alias kept for source compatibility: weight-loading errors
 /// are now the crate-wide [`NnError`].
 pub type LoadWeightsError = NnError;
-
-/// Running CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
-///
-/// Bitwise implementation — no table — because checkpoint streams are
-/// megabytes at most and this keeps the format dependency-free.
-#[derive(Debug, Clone, Copy)]
-struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    fn new() -> Self {
-        Self { state: 0xFFFF_FFFF }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = (self.state & 1).wrapping_neg();
-                self.state = (self.state >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    }
-
-    fn finish(self) -> u32 {
-        !self.state
-    }
-}
 
 /// Writer adapter that checksums every byte it forwards.
 struct CrcWriter<W: Write> {
@@ -109,8 +85,17 @@ fn read_u32(r: &mut dyn Read) -> io::Result<u32> {
     Ok(u32::from_le_bytes(buf))
 }
 
-/// Writes all trainable parameters of `net` to `out`, followed by a CRC32
-/// footer over the whole stream.
+/// Visits the tensors a stream of `version` holds, in file order: the
+/// parameters, then (from version 3) the running statistics.
+fn visit_state(net: &mut Network, version: u32, f: &mut dyn FnMut(&mut Tensor<f32>)) {
+    net.visit_params(&mut |param, _| f(param));
+    if version >= 3 {
+        net.visit_buffers(f);
+    }
+}
+
+/// Writes all trainable parameters and BatchNorm running statistics of
+/// `net` to `out`, followed by a CRC32 footer over the whole stream.
 ///
 /// A `&mut` reference can be passed for `out` (see `std::io::Write`).
 ///
@@ -134,18 +119,24 @@ fn read_u32(r: &mut dyn Read) -> io::Result<u32> {
 /// # }
 /// ```
 pub fn save_weights<W: Write>(net: &mut Network, out: W) -> io::Result<()> {
+    write_stream(net, out, VERSION)
+}
+
+/// Writes a `version` stream (the current one, or an older one for the
+/// compatibility tests).
+fn write_stream<W: Write>(net: &mut Network, out: W, version: u32) -> io::Result<()> {
     let mut out = CrcWriter {
         inner: out,
         crc: Crc32::new(),
     };
-    // First pass: count parameters.
+    // First pass: count tensors.
     let mut count = 0u32;
-    net.visit_params(&mut |_, _| count += 1);
+    visit_state(net, version, &mut |_| count += 1);
     write_u32(&mut out, MAGIC)?;
-    write_u32(&mut out, VERSION)?;
+    write_u32(&mut out, version)?;
     write_u32(&mut out, count)?;
     let mut result = Ok(());
-    net.visit_params(&mut |param, _| {
+    visit_state(net, version, &mut |param| {
         if result.is_err() {
             return;
         }
@@ -161,6 +152,9 @@ pub fn save_weights<W: Write>(net: &mut Network, out: W) -> io::Result<()> {
         })();
     });
     result?;
+    if version == LEGACY_VERSION {
+        return Ok(());
+    }
     // The footer itself is not part of the checksummed region.
     let footer = out.crc.finish();
     out.inner.write_all(&footer.to_le_bytes())
@@ -169,7 +163,7 @@ pub fn save_weights<W: Write>(net: &mut Network, out: W) -> io::Result<()> {
 /// Loads parameters saved by [`save_weights`] into `net`, which must have
 /// the same architecture (parameter count and shapes).
 ///
-/// Version-2 streams have their CRC32 footer verified; version-1 (legacy)
+/// Version-2 and -3 streams have their CRC32 footer verified; version-1 (legacy)
 /// streams load with a "no checksum" warning on stderr. Use
 /// [`load_weights_verified`] to observe which path was taken.
 ///
@@ -190,7 +184,7 @@ pub fn load_weights<R: Read>(net: &mut Network, input: R) -> Result<(), NnError>
 }
 
 /// Like [`load_weights`], but returns whether the stream carried a CRC32
-/// footer that was verified (`true` for version 2, `false` for legacy
+/// footer that was verified (`true` for versions 2 and 3, `false` for legacy
 /// version 1) and never prints a warning itself.
 ///
 /// # Errors
@@ -205,20 +199,20 @@ pub fn load_weights_verified<R: Read>(net: &mut Network, input: R) -> Result<boo
         return Err(NnError::BadHeader("wrong magic".to_string()));
     }
     let version = read_u32(&mut input)?;
-    if version != VERSION && version != LEGACY_VERSION {
+    if !(LEGACY_VERSION..=VERSION).contains(&version) {
         return Err(NnError::BadHeader(format!("unsupported version {version}")));
     }
     let stored = read_u32(&mut input)? as usize;
     let mut expected = 0usize;
-    net.visit_params(&mut |_, _| expected += 1);
+    visit_state(net, version, &mut |_| expected += 1);
     if stored != expected {
         return Err(NnError::ArchitectureMismatch(format!(
-            "file has {stored} parameters, network has {expected}"
+            "file has {stored} tensors, network has {expected}"
         )));
     }
     let mut result: Result<(), NnError> = Ok(());
     let mut index = 0usize;
-    net.visit_params(&mut |param, _| {
+    visit_state(net, version, &mut |param| {
         if result.is_err() {
             return;
         }
@@ -444,21 +438,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_stream_loads_without_checksum() {
-        let mut a = sample_net(21);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
-        // Rewrite as a v1 stream: patch the version field, drop the footer.
-        bytes[4..8].copy_from_slice(&LEGACY_VERSION.to_le_bytes());
-        bytes.truncate(bytes.len() - 4);
-        let mut b = sample_net(22);
-        let verified = load_weights_verified(&mut b, &mut bytes.as_slice()).unwrap();
-        assert!(!verified);
+    fn v1_and_v2_streams_load_parameters_only() {
         let x = Tensor::from_fn(&[1, 1, 8, 8], |i| (i as f32 * 0.07).cos());
-        assert_eq!(
-            a.forward(&x, false).as_slice(),
-            b.forward(&x, false).as_slice()
-        );
+        for (version, verified) in [(LEGACY_VERSION, false), (2, true)] {
+            let mut a = sample_net(21);
+            let mut bytes = Vec::new();
+            write_stream(&mut a, &mut bytes, version).unwrap();
+            let mut params = 0u32;
+            a.visit_params(&mut |_, _| params += 1);
+            assert_eq!(&bytes[8..12], &params.to_le_bytes(), "parameters only");
+            let mut b = sample_net(22);
+            assert_eq!(load_weights_verified(&mut b, &mut bytes.as_slice()).unwrap(), verified);
+            // An untrained net's running statistics are the defaults, so
+            // the parameters alone reproduce its outputs.
+            assert_eq!(a.forward(&x, false).as_slice(), b.forward(&x, false).as_slice());
+        }
     }
 
     #[test]
@@ -469,14 +463,6 @@ mod tests {
         assert_eq!(&bytes[0..4], &MAGIC.to_le_bytes());
         assert_eq!(&bytes[4..8], &VERSION.to_le_bytes());
         assert_eq!(&bytes[8..12], &2u32.to_le_bytes()); // weight + bias
-    }
-
-    #[test]
-    fn crc32_matches_ieee_check_value() {
-        // The canonical CRC-32/IEEE check: crc32(b"123456789") == 0xCBF43926.
-        let mut crc = Crc32::new();
-        crc.update(b"123456789");
-        assert_eq!(crc.finish(), 0xCBF4_3926);
     }
 
     #[test]

@@ -27,23 +27,13 @@ use drq_core::{ConvPlan, MaskMap};
 use drq_models::{default_standin, DatasetKind};
 use drq_nn::{Layer, Network};
 use drq_telemetry::counter_add;
+use drq_tensor::fnv1a;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Bound on the input-mask cache (entries, FIFO-evicted).
 const MASK_CACHE_CAP: usize = 128;
-
-/// FNV-1a over bytes — stable, dependency-free digesting (also the
-/// router's rendezvous-hash primitive).
-pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// An immutable, shareable execution plan for one model: the pristine
 /// network, its prepared per-conv integer plans (in the traversal order

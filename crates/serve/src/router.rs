@@ -29,7 +29,8 @@
 //! the restarted engine.
 
 use crate::engine::{DrainReport, ServeConfig, ServeEngine, ServeStats};
-use crate::plan_cache::{fnv1a, PlanCache, PlanCacheStats};
+use crate::plan_cache::{PlanCache, PlanCacheStats};
+use drq_tensor::fnv1a;
 use crate::protocol::InferRequest;
 use crate::queue::Responder;
 use crate::ShedState;

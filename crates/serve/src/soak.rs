@@ -29,6 +29,7 @@ use crate::router::ShardRouter;
 use crate::ShedPolicy;
 use drq_core::ComputeTier;
 use drq_models::DatasetKind;
+use drq_tensor::splitmix64;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -125,34 +126,27 @@ pub fn replay_hint(cfg: &SoakConfig) -> String {
     )
 }
 
-/// SplitMix64 — the stream/schedule RNG (stable, dependency-free).
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+/// Draw `k` of the SplitMix64 stream started at `state` — the
+/// stream/schedule RNG (stable, dependency-free).
+fn splitmix_draw(state: u64, k: u64) -> u64 {
+    splitmix64(state.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
 /// The `index`-th request of the stream — a pure function of
 /// `(seed, index, max_batch)`, exposed so tests can cross-check that the
 /// stream is independent of worker/kill/coalesce configuration.
 pub fn stream_request(seed: u64, index: usize, max_batch: usize) -> InferRequest {
-    let mut rng = SplitMix(seed ^ (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let stream = seed ^ (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     // Mostly the light dataset with an occasional heavier one: enough
     // model diversity to exercise the plan cache without making the soak
     // crawl on small runners.
-    let dataset = if rng.next() % 4 == 0 { DatasetKind::Shapes } else { DatasetKind::Digits };
+    let dataset = if splitmix_draw(stream, 0).is_multiple_of(4) { DatasetKind::Shapes } else { DatasetKind::Digits };
     InferRequest {
         // Zero-padded ids sort the canonical transcript in stream order.
         id: format!("r{index:05}"),
         dataset,
-        sample_seed: rng.next() % 16,
-        batch: 1 + (rng.next() as usize) % max_batch.max(1),
+        sample_seed: splitmix_draw(stream, 1) % 16,
+        batch: 1 + (splitmix_draw(stream, 2) as usize) % max_batch.max(1),
         deadline_cycles: None,
         poison: false,
     }
@@ -180,11 +174,11 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     });
     // Kill schedule: evenly spaced submission indices; victims drawn from
     // a schedule RNG disjoint from the stream RNG.
-    let mut schedule_rng = SplitMix(cfg.seed ^ 0x6b79_6c6c_7363_6864); // "kyllschd"
+    let schedule = cfg.seed ^ 0x6b79_6c6c_7363_6864; // "kyllschd"
     let mut kill_at: Vec<(usize, usize)> = (0..cfg.kills)
         .map(|k| {
             let at = (k + 1) * cfg.requests / (cfg.kills + 1);
-            let victim = (schedule_rng.next() as usize) % cfg.workers.max(1);
+            let victim = (splitmix_draw(schedule, k as u64) as usize) % cfg.workers.max(1);
             (at, victim)
         })
         .collect();

@@ -27,7 +27,7 @@
 //!    shard-invariant, so the merge rule `global = shard_offset + local`
 //!    reproduces the sequential cursor exactly.
 
-use drq_tensor::parallel;
+use drq_tensor::{parallel, splitmix64};
 
 /// How many shards a [`crate::SimSession`] splits the layer graph into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -203,12 +203,7 @@ impl PartitionPlan {
 pub fn stream_seed(root: u64, stream: u64) -> u64 {
     // splitmix64 over the golden-ratio-spread combination of root and
     // stream index; statistically independent outputs for adjacent inputs.
-    let mut z = root
-        .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(root.wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// The reserved stream index for the fault-injection RNG (kept far above

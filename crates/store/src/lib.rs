@@ -66,5 +66,5 @@ pub use faults::{
 };
 pub use storage::{FsStorage, MemStorage, Storage};
 pub use store::{
-    crc32, ArtifactStore, LoadOutcome, StoreError, FRAME_PREFIX, PREV_SUFFIX, TMP_SUFFIX,
+    crc32, ArtifactStore, Crc32, LoadOutcome, StoreError, FRAME_PREFIX, PREV_SUFFIX, TMP_SUFFIX,
 };

@@ -49,19 +49,49 @@ pub const TMP_SUFFIX: &str = ".tmp";
 /// Frame format version.
 const STORE_VERSION: u64 = 1;
 
-/// IEEE CRC32 (reflected, polynomial `0xEDB88320`) over `bytes` — the
-/// checksum of the `drq-nn` weight footer, shared here so one algorithm
-/// covers every durable artifact.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut state = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        state ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (state & 1).wrapping_neg();
-            state = (state >> 1) ^ (0xEDB8_8320 & mask);
+/// Running IEEE CRC32 (reflected, polynomial `0xEDB88320`) — the checksum
+/// of the store frame and of the `drq-nn` weight footer, so one algorithm
+/// covers every durable artifact. Bitwise, no table: artifacts are
+/// megabytes at most.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self { state: 0xFFFF_FFFF }
+    }
+}
+
+impl Crc32 {
+    /// A checksum over no bytes yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds `bytes` into the checksum.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (self.state & 1).wrapping_neg();
+                self.state = (self.state >> 1) ^ (0xEDB8_8320 & mask);
+            }
         }
     }
-    !state
+
+    /// The checksum of every byte folded in so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
+}
+
+/// IEEE CRC32 of `bytes` in one call (see [`Crc32`]).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// Typed failure of a store operation. Every variant names the artifact

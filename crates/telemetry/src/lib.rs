@@ -1,6 +1,6 @@
 //! Structured observability for the DRQ reproduction.
 //!
-//! Three pieces, composable and dependency-free:
+//! Three pieces, composable and free of external dependencies:
 //!
 //! - a hierarchical [`MetricsRegistry`] (counters / gauges / histograms)
 //!   with a process-global instance behind the zero-cost-when-disabled
@@ -11,6 +11,9 @@
 //!   metrics producer (simulator, training loop, DSE sweeps, bench
 //!   binaries, CLI) writes, so artifacts are diffable across runs.
 //!
+//! Alongside them, [`faults`] is the seeded fault-schedule engine that the
+//! simulator's hardware faults and the artifact store's I/O faults share.
+//!
 //! Determinism contract: reports built from deterministic inputs serialize
 //! byte-for-byte identically ([`Json`] objects are insertion-ordered,
 //! floats use shortest-round-trip formatting), and recording is strictly
@@ -19,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod faults;
 mod json;
 mod registry;
 mod report;

@@ -78,6 +78,46 @@ impl XorShiftRng {
     }
 }
 
+/// SplitMix64 finalizer over `x` plus the golden-ratio increment: the
+/// workspace's one mixer for decorrelating structured seed inputs (the
+/// `k`-th output of a SplitMix64 stream started at `s` is
+/// `splitmix64(s + k * 0x9E37_79B9_7F4A_7C15)`).
+///
+/// # Examples
+///
+/// ```
+/// use drq_tensor::splitmix64;
+///
+/// assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+/// ```
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// 64-bit FNV-1a over `bytes`, starting from the offset basis XOR `seed`:
+/// the workspace's one stable, dependency-free digest.
+///
+/// # Examples
+///
+/// ```
+/// use drq_tensor::fnv1a;
+///
+/// assert_eq!(fnv1a(*b"a", 0), 0xAF63_DC4C_8601_EC8C);
+/// ```
+#[inline]
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ seed;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// He-normal initialization for a weight tensor with the given fan-in.
 ///
 /// # Examples

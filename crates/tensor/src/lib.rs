@@ -42,7 +42,7 @@ mod tensor;
 pub use element::Element;
 pub use error::ShapeError;
 pub use im2col::{col2im_accumulate, im2col, Im2ColLayout};
-pub use init::{he_normal, uniform, XorShiftRng};
+pub use init::{fnv1a, he_normal, splitmix64, uniform, XorShiftRng};
 pub use int_ops::{
     int4_matmul, int8_matmul, int8_matmul_reference, int8_matmul_wide, int_kernel_name, Int4Packed,
 };

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, Once};
 
-use drq_tensor::XorShiftRng;
+use drq_tensor::{fnv1a, splitmix64, XorShiftRng};
 
 /// Env var controlling how many cases each property runs (default
 /// [`DEFAULT_CASES`]; CI raises it).
@@ -152,7 +152,7 @@ impl TestKit {
         Self {
             suite: suite.to_string(),
             cases,
-            base_seed: splitmix64(base_seed ^ fnv1a(suite)),
+            base_seed: splitmix64(base_seed ^ fnv1a(suite.bytes(), 0)),
             pinned: false,
         }
     }
@@ -177,7 +177,7 @@ impl TestKit {
         if self.pinned {
             self.base_seed.wrapping_add(index as u64)
         } else {
-            splitmix64(self.base_seed ^ fnv1a(name)).wrapping_add(index as u64)
+            splitmix64(self.base_seed ^ fnv1a(name.bytes(), 0)).wrapping_add(index as u64)
         }
     }
 
@@ -299,24 +299,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// FNV-1a, for mixing property/suite names into seeds.
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// SplitMix64 finalizer: decorrelates structured seed inputs.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
