@@ -17,6 +17,7 @@ use crate::shrink::{shrink_f32, shrink_usize};
 use drq_core::{MaskMap, RegionGrid, RegionSize};
 use drq_nn::Conv2d;
 use drq_quant::Precision;
+use drq_sim::faults::Site;
 use drq_sim::{FaultPlan, FaultRule, FaultSite, StreamElement};
 use drq_store::{IoFaultPlan, IoFaultRule, IoFaultSite};
 use drq_tensor::{Shape4, Tensor, XorShiftRng};
