@@ -80,7 +80,7 @@ pub use accelerator::{
 pub use error::SimError;
 pub use partition::{PartitionPlan, Partitions};
 pub use session::{SharedSession, SimRun, SimSession};
-pub use faults::{FaultCounters, FaultInjector, FaultPlan, FaultRule, FaultSite};
+pub use faults::{smoke_fault_plan, FaultCounters, FaultInjector, FaultPlan, FaultRule, FaultSite};
 pub use area::AreaModel;
 pub use dataflow::{compare_dataflows, estimate_traffic, Dataflow, TrafficReport, OUTPUT_BUFFER_POSITIONS};
 pub use dram::{bandwidth_report, BandwidthReport, DramModel};

@@ -8,7 +8,7 @@
 //! the committed golden file from `tests/metrics_golden.rs`.
 
 use drq::models::zoo::{self, InputRes};
-use drq::sim::{ArchConfig, FaultPlan, Partitions, SimSession};
+use drq::sim::{smoke_fault_plan, ArchConfig, Partitions, SimSession};
 use drq::telemetry::Tracer;
 
 fn partitions_under_test() -> [Partitions; 4] {
@@ -83,7 +83,7 @@ fn faulted_runs_are_byte_identical_at_any_partition_count() {
     let reference = SimSession::new(&accel, &net)
         .seed(42)
         .partitions(Partitions::Single)
-        .faults(FaultPlan::smoke())
+        .faults(smoke_fault_plan())
         .run()
         .unwrap();
     assert!(
@@ -95,7 +95,7 @@ fn faulted_runs_are_byte_identical_at_any_partition_count() {
         let got = SimSession::new(&accel, &net)
             .seed(42)
             .partitions(p)
-            .faults(FaultPlan::smoke())
+            .faults(smoke_fault_plan())
             .run()
             .unwrap();
         assert_eq!(
